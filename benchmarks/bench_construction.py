@@ -19,20 +19,35 @@ vectorized construction backend's speedup over the scalar reference
 ``PINNED_VECTOR_SPEEDUP * _TOLERANCE`` on the full columnar pipeline
 (unit-disk build, lengths, both planarizations, safety labels) at
 n=2000, with bit-identity asserted before any timing counts.
+
+``test_boundhole_rotation_speedup`` pins the BOUNDHOLE construction the
+same way: the rotation-column walk against the per-step sweep walk it
+replaced (``tests/protocols/_legacy_boundhole.py``), on the IA n=800
+network of the quick figure sweep, identity asserted first.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from repro._optional import load_numpy
+from repro.api import Scenario, Session
 from repro.core import InformationModel, compute_safety, compute_shapes
+from repro.experiments import QUICK_CONFIG
 from repro.geometry import Rect
-from repro.network import EdgeDetector, UniformDeployment, build_unit_disk_graph
+from repro.network import (
+    EdgeDetector,
+    TopologyCore,
+    UniformDeployment,
+    WasnGraph,
+    build_unit_disk_graph,
+)
 from repro.protocols import (
     build_hole_boundaries,
     run_hello,
@@ -48,6 +63,12 @@ _AREA = Rect(0, 0, 200, 200)
 PINNED_VECTOR_SPEEDUP = 3.4
 _TOLERANCE = 0.9
 assert PINNED_VECTOR_SPEEDUP * _TOLERANCE >= 3.0
+
+# Pinned when the rotation-column walk landed (measured 31-34x on the
+# quick sweep's IA n=800 network, Python 3.11 on a shared 2-vCPU x86
+# host); the acceptance floor is 5x.
+PINNED_BOUNDHOLE_SPEEDUP = 20.0
+assert PINNED_BOUNDHOLE_SPEEDUP * _TOLERANCE >= 5.0
 
 
 def _network(n=400, seed=11, radius=20.0):
@@ -103,10 +124,75 @@ def test_async_safety_protocol(benchmark):
     assert stats.quiesced
 
 
-def test_boundhole_construction(benchmark):
-    g = _network()
-    boundaries = benchmark(build_hole_boundaries, g)
-    assert len(boundaries) >= 1  # the outer rim at minimum
+def _legacy_boundhole():
+    """The per-step sweep walk, loaded from the test suite's copy."""
+    path = (
+        Path(__file__).resolve().parents[1]
+        / "tests"
+        / "protocols"
+        / "_legacy_boundhole.py"
+    )
+    spec = importlib.util.spec_from_file_location("_legacy_boundhole", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_boundhole_rotation_speedup(results_dir):
+    """Rotation-column BOUNDHOLE vs the per-step sweep walk.
+
+    Each timed rotation run starts from a fresh core, so it pays for
+    the CSR and the rotation column as a cold Session does.
+    """
+    legacy = _legacy_boundhole()
+    graph = Session(
+        Scenario.from_config(QUICK_CONFIG, "IA", 800).with_(networks=1)
+    ).graph
+    core = graph.core
+
+    def fresh_graph():
+        return WasnGraph.from_core(
+            TopologyCore(
+                core.ids,
+                core.xs,
+                core.ys,
+                core.radius,
+                core.edge_flags,
+                core.rows(),
+            )
+        )
+
+    new = build_hole_boundaries(fresh_graph())
+    old = legacy.build_hole_boundaries(graph)
+    assert new.boundaries == old.boundaries
+    assert new._by_node == old._by_node
+
+    repeats = 5 if os.environ.get("REPRO_FULL", "") == "1" else 3
+    sweep_s = _best_of(lambda: legacy.build_hole_boundaries(graph), repeats)
+    rotation_s = float("inf")
+    for _ in range(repeats):
+        fresh = fresh_graph()
+        start = time.perf_counter()
+        build_hole_boundaries(fresh)
+        rotation_s = min(rotation_s, time.perf_counter() - start)
+    speedup = sweep_s / rotation_s
+
+    floor = PINNED_BOUNDHOLE_SPEEDUP * _TOLERANCE
+    report = "\n".join(
+        [
+            "BOUNDHOLE on the quick sweep's IA n=800 network "
+            f"({len(new)} boundaries, {new.walks_degenerate} degenerate "
+            f"walks, {new.walk_steps} walk steps)",
+            f"per-step sweep walk: {1e3 * sweep_s:8.2f} ms",
+            f"rotation column:     {1e3 * rotation_s:8.2f} ms",
+            f"speedup:             {speedup:8.2f}x "
+            f"(pinned {PINNED_BOUNDHOLE_SPEEDUP}x, floor {floor:.2f}x)",
+        ]
+    )
+    (results_dir / "boundhole_rotation.txt").write_text(report + "\n")
+    print()
+    print(report)
+    assert speedup >= floor, report
 
 
 def _best_of(fn, repeats: int) -> float:

@@ -17,6 +17,7 @@ golden equivalence tests pin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, TypeAlias, Union
 
@@ -157,8 +158,32 @@ class Scenario:
             )
         if self.node_count < 2:
             raise ValueError("node_count must be >= 2")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(
+                f"radius must be finite and positive, got {self.radius!r}"
+            )
+        area = self.area
+        if not (
+            all(
+                math.isfinite(v)
+                for v in (area.x_min, area.y_min, area.x_max, area.y_max)
+            )
+            and area.width > 0
+            and area.height > 0
+        ):
+            raise ValueError(
+                "area must be finite with positive width and height, "
+                f"got {area!r}"
+            )
+        if self.obstacle_count < 0:
+            raise ValueError(
+                f"obstacle_count must be >= 0, got {self.obstacle_count!r}"
+            )
+        if self.min_obstacle_size > self.max_obstacle_size:
+            raise ValueError(
+                "min_obstacle_size must be <= max_obstacle_size, got "
+                f"{self.min_obstacle_size!r} > {self.max_obstacle_size!r}"
+            )
         if self.networks < 1 or self.routes_per_network < 1:
             raise ValueError("networks and routes_per_network must be >= 1")
         if self.packet_bits < 1:

@@ -25,11 +25,12 @@ the common case of a freshly deployed network the ids *are*
 neighbour *indices*; the row view (:meth:`rows`) stores neighbour
 *ids* — because ids ascend with indices, both are sorted ascending.
 
-Everything derived (CSR arrays, lengths, masks, padded by-id views)
-is computed lazily and cached: a core built for one routing batch
-never pays for columns the batch does not touch, and cores that share
-structure (e.g. the same graph with different edge flags, see
-:meth:`with_edge_flags`) share their planarization caches.
+Everything derived (CSR arrays, lengths, masks, the rotation system,
+padded by-id views) is computed lazily and cached: a core built for
+one routing batch never pays for columns the batch does not touch,
+and cores that share structure (e.g. the same graph with different
+edge flags, see :meth:`with_edge_flags`) share their planarization
+masks and rotation column.
 """
 
 from __future__ import annotations
@@ -41,10 +42,17 @@ from typing import Iterable, Mapping, Sequence
 
 from repro._optional import require_numpy
 from repro.geometry import Point
+from repro.geometry.angles import angle_of
 from repro.network import construct as _construct
 from repro.network.node import NodeId
 
-__all__ = ["CoreArrays", "TopologyCore", "build_core"]
+__all__ = [
+    "CoreArrays",
+    "Rotation",
+    "TopologyCore",
+    "build_core",
+    "build_rotation",
+]
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,28 @@ class CoreArrays:
     indices: "object"
     lengths: "object"
     ids: "object"
+
+
+@dataclass(frozen=True)
+class Rotation:
+    """The rotation system: every node's neighbours in angular order.
+
+    Row ``i`` spans the slots ``indptr[i]:indptr[i + 1]`` (the CSR row
+    pointer).  ``order`` holds the neighbour indices sorted by
+    ``angle_of(p_i, p_v)`` ascending — counter-clockwise from east —
+    stably, so equal angles keep their adjacency-row order (the tie
+    order every ``sorted(neighbors, key=angle)`` sweep sees).
+    ``angles`` holds those angles slot for slot.  ``twin[s]`` is the
+    slot of the reverse edge: for slot ``s`` of row ``i`` holding
+    ``v``, ``order[twin[s]] == i`` within row ``v``.  A slot therefore
+    names one directed edge, and turning around an edge is one lookup.
+    """
+
+    indptr: array
+    order: array
+    angles: array
+    twin: array
+
 
 # Numerical slack for the planarization witness tests — must match
 # repro.network.planar exactly (the core masks are pinned bit-identical
@@ -92,7 +122,7 @@ class TopologyCore:
         "_indptr",
         "_indices",
         "_lengths",
-        "_planar",
+        "_derived",
         "_coords_by_id",
         "_rows_by_id",
         "_flags_by_id",
@@ -109,7 +139,7 @@ class TopologyCore:
         radius: float,
         edge_flags: tuple[bool, ...],
         rows: tuple[tuple[NodeId, ...], ...],
-        planar_cache: dict | None = None,
+        derived: dict | None = None,
         backend: str = "auto",
     ) -> None:
         if radius <= 0:
@@ -135,9 +165,10 @@ class TopologyCore:
         self._indptr: array | None = None
         self._indices: array | None = None
         self._lengths: array | None = None
-        # kind -> (mask bytearray, planar adjacency dict); shared with
-        # flag-variants of this core (planarization ignores edge flags).
-        self._planar: dict = planar_cache if planar_cache is not None else {}
+        # Columns derived from positions and adjacency alone, shared
+        # with flag-variants of this core: kind -> (mask bytearray,
+        # planar adjacency dict) per planarization, and "rotation".
+        self._derived: dict = derived if derived is not None else {}
         self._coords_by_id: tuple[list, list] | None = None
         self._rows_by_id: list | None = None
         self._flags_by_id: list | None = None
@@ -178,8 +209,9 @@ class TopologyCore:
     def with_edge_flags(self, edge_ids: Iterable[NodeId]) -> "TopologyCore":
         """A core sharing all structure, with edge flags replaced.
 
-        The planarization cache is shared too: Gabriel/RNG masks are
-        pure functions of positions and adjacency, never of flags.
+        The derived columns are shared too: Gabriel/RNG masks and the
+        rotation system are pure functions of positions and adjacency,
+        never of flags.
         """
         edge_set = set(edge_ids)
         flags = tuple(u in edge_set for u in self._ids)
@@ -190,7 +222,7 @@ class TopologyCore:
             self._radius,
             flags,
             self._rows,
-            planar_cache=self._planar,
+            derived=self._derived,
             backend=self._backend,
         )
 
@@ -337,6 +369,20 @@ class TopologyCore:
             self._lengths = lengths
         return self._lengths
 
+    def rotation(self) -> Rotation:
+        """The rotation system over this core's CSR (see :class:`Rotation`).
+
+        Built once per core — and shared with its flag-variants — by
+        :func:`build_rotation`, with the same ``angle_of`` every angular
+        sweep uses, so its angles equal the sweeps' bit for bit.
+        """
+        rotation = self._derived.get("rotation")
+        if rotation is None:
+            points = [Point(x, y) for x, y in zip(self._xs, self._ys)]
+            rotation = build_rotation(points, self.indptr, self.indices)
+            self._derived["rotation"] = rotation
+        return rotation
+
     def edge_count(self) -> int:
         if self._edge_count is None:
             self._edge_count = sum(len(row) for row in self._rows) // 2
@@ -453,14 +499,14 @@ class TopologyCore:
         return adjacency
 
     def _planarization(self, kind: str):
-        cached = self._planar.get(kind)
-        if cached is not None:
-            return cached
         if kind not in _PLANAR_KINDS:
             raise ValueError(
                 f"unknown planarization {kind!r}; "
                 f"expected one of {sorted(_PLANAR_KINDS)}"
             )
+        cached = self._derived.get(kind)
+        if cached is not None:
+            return cached
         np = _construct.resolve_backend(
             self._backend, f"planar_mask({kind!r}) (backend='numpy')"
         )
@@ -486,7 +532,7 @@ class TopologyCore:
                 np, self._ids, aindptr, aindices, mask
             )
             result = (mask, kept)
-            self._planar[kind] = result
+            self._derived[kind] = result
             return result
         mask = self._gabriel_mask() if kind == "gabriel" else self._rng_mask()
         ids = self._ids
@@ -500,7 +546,7 @@ class TopologyCore:
                 row[j] for j in range(len(row)) if mask[base + j]
             )
         result = (mask, kept)
-        self._planar[kind] = result
+        self._derived[kind] = result
         return result
 
     def _gabriel_mask(self) -> bytearray:
@@ -594,6 +640,40 @@ class TopologyCore:
             f"TopologyCore(n={len(self._ids)}, "
             f"edges={self.edge_count()}, radius={self._radius})"
         )
+
+
+def build_rotation(
+    points: Sequence[Point], indptr: Sequence[int], indices: Sequence[int]
+) -> Rotation:
+    """Sort every CSR row by angle and pair each slot with its twin.
+
+    ``points[i]`` is the position of index ``i``; ``indptr``/``indices``
+    describe a symmetric adjacency in any row order (the stable sort
+    keeps that order among equal angles).  A sort and a reverse-edge
+    search per row: O(E log deg + sum of deg^2), i.e. O(E) at bounded
+    degree.
+    """
+    n = len(points)
+    rows = []
+    flat_angles = []
+    for i in range(n):
+        p = points[i]
+        row = indices[indptr[i] : indptr[i + 1]]
+        row_angles = [angle_of(p, points[v]) for v in row]
+        ranks = sorted(range(len(row)), key=row_angles.__getitem__)
+        rows.append([row[k] for k in ranks])
+        flat_angles.extend([row_angles[k] for k in ranks])
+    angles = array("d", flat_angles)
+    order = array("q", [v for row in rows for v in row])
+    twin = array(
+        "q",
+        [
+            indptr[v] + rows[v].index(i)
+            for i, row in enumerate(rows)
+            for v in row
+        ],
+    )
+    return Rotation(array("q", indptr), order, angles, twin)
 
 
 def _mirror(

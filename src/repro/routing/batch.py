@@ -47,6 +47,7 @@ rather than inheriting a fast path that no longer matches them.
 from __future__ import annotations
 
 import math
+import weakref
 
 from repro._optional import load_numpy
 from repro.geometry import Point
@@ -112,7 +113,10 @@ class _Executor:
     """Shared per-batch state and the exact slow-path bridges."""
 
     def __init__(self, router: Router, core) -> None:
-        self.router = router
+        # The router caches this executor: a strong reference back
+        # would make every router a reference cycle, freed only by the
+        # cyclic collector rather than when its session goes.
+        self.router = weakref.proxy(router)
         self.xs, self.ys = core.coords_by_id()
         self.rows = core.rows_by_id()
 
@@ -1027,7 +1031,7 @@ class _NumpyBatchKernel:
     def __init__(self, np, mode: str, router: Router, core, scalar) -> None:
         self.np = np
         self.mode = mode
-        self.router = router
+        self.router = weakref.proxy(router)  # see _Executor.__init__
         self.scalar = scalar
         self.ids = core.ids  # python-int tuple: index -> node id
         views = core.ndarray_views()

@@ -83,12 +83,50 @@ class Request:
         if not self.body:
             return {}
         try:
-            data = json.loads(self.body)
+            data = json.loads(self.body, parse_constant=_reject_non_finite)
         except json.JSONDecodeError as error:
             raise HttpError(400, f"body is not valid JSON: {error}") from None
+        except _NonFiniteLiteral as error:
+            # The hook is not told where the token sits; the decoder
+            # reads left to right, so it is the first bare one.
+            literal = str(error)
+            encoding = json.detect_encoding(self.body)
+            doc = self.body.decode(encoding, "replace")
+            located = json.JSONDecodeError(
+                f"{literal} is not a JSON number", doc, _locate(doc, literal)
+            )
+            raise HttpError(400, f"body is not valid JSON: {located}") from None
         if not isinstance(data, dict):
             raise HttpError(400, "body must be a JSON object")
         return data
+
+
+class _NonFiniteLiteral(ValueError):
+    """A ``NaN``/``Infinity``/``-Infinity`` token in a request body."""
+
+
+def _reject_non_finite(literal: str):
+    # Python's decoder accepts these by default; a NaN radius or
+    # timeout would then fail deep in the routing stack as a 500.
+    raise _NonFiniteLiteral(literal)
+
+
+def _locate(doc: str, literal: str) -> int:
+    """Index of the first bare ``literal`` outside JSON strings."""
+    in_string = escaped = False
+    for i, ch in enumerate(doc):
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif doc.startswith(literal, i):
+            return i
+    return 0  # pragma: no cover - the decoder just met it
 
 
 async def read_request(reader: asyncio.StreamReader) -> Request | None:

@@ -34,6 +34,46 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(obstacles=(RectObstacle(Rect(0, 0, 10, 10)),))
 
+    @pytest.mark.parametrize(
+        "field, changes",
+        [
+            ("radius", {"radius": float("nan")}),
+            ("radius", {"radius": float("inf")}),
+            ("area", {"area": Rect(0, 0, float("inf"), 200)}),
+            ("area", {"area": Rect(0, 0, 200, float("nan"))}),
+            ("area", {"area": Rect(0, 0, 0, 200)}),
+            ("area", {"area": Rect(0, 10, 200, 10)}),
+            ("obstacle_count", {"obstacle_count": -1}),
+            (
+                "min_obstacle_size",
+                {"min_obstacle_size": 50.0, "max_obstacle_size": 40.0},
+            ),
+        ],
+    )
+    def test_validation_names_the_field(self, field, changes):
+        with pytest.raises(ValueError, match=field):
+            Scenario(**changes)
+
+    def test_valid_scenarios_keep_their_fingerprints(self, monkeypatch):
+        # Recorded before the field validation landed, with the source
+        # digest pinned: validation adds checks, never fingerprint input.
+        import repro.api.study as study
+
+        monkeypatch.setattr(study, "_code_digest", lambda: "pinned")
+        assert study.scenario_fingerprint(Scenario()) == (
+            "5c6e9d93f113b94e4ffcd7068b116ad749b7f656c5e7268020be6dce8ac23b5f"
+        )
+        fa = Scenario(
+            deployment_model="FA",
+            node_count=600,
+            obstacle_count=0,
+            min_obstacle_size=30.0,
+            max_obstacle_size=30.0,
+        )
+        assert study.scenario_fingerprint(fa) == (
+            "14f4494a11bfce3be124b8a6817aefd657b11660ceab4eadb21c5bdd8699e335"
+        )
+
     def test_with_makes_modified_copies(self):
         scenario = Scenario(**TINY)
         denser = scenario.with_(node_count=300)

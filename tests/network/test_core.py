@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.geometry import Point, Rect
+from repro.geometry.angles import angle_of
 from repro.network import (
     DynamicTopology,
     EdgeDetector,
@@ -26,6 +27,7 @@ from repro.network import (
     gabriel_graph,
     relative_neighborhood_graph,
 )
+from repro.network.core import build_rotation
 
 AREA = Rect(0, 0, 120, 120)
 RADIUS = 20.0
@@ -305,3 +307,53 @@ class TestDynamicCoreSlices:
         )
         untouched = sum(1 for u in after.node_ids if u not in touched)
         assert shared == untouched
+
+
+class TestRotation:
+    """The rotation column: rows by angle, twins, sharing."""
+
+    @pytest.mark.parametrize(
+        "case", deployments(), ids=lambda c: f"{c[0]}-{c[1]}"
+    )
+    def test_rows_sorted_by_exact_angles(self, case):
+        _, _, positions = case
+        graph = build_unit_disk_graph(positions, RADIUS)
+        core = graph.core
+        rotation = core.rotation()
+        ids = core.ids
+        assert list(rotation.indptr) == list(core.indptr)
+        for i, u in enumerate(ids):
+            span = range(rotation.indptr[i], rotation.indptr[i + 1])
+            row = [ids[rotation.order[s]] for s in span]
+            pu = graph.position(u)
+            # A stable sort of the adjacency row by angle_of: equal
+            # angles keep row order.
+            assert row == sorted(
+                graph.neighbors(u),
+                key=lambda v: angle_of(pu, graph.position(v)),
+            )
+            assert [rotation.angles[s] for s in span] == [
+                angle_of(pu, graph.position(v)) for v in row
+            ]
+            for s in span:
+                back = rotation.twin[s]
+                v = rotation.order[s]
+                assert rotation.indptr[v] <= back < rotation.indptr[v + 1]
+                assert rotation.order[back] == i
+                assert rotation.twin[back] == s
+
+    def test_flag_variants_share_the_column(self):
+        _, _, positions = deployments()[0]
+        core = build_unit_disk_graph(positions, RADIUS).core
+        flagged = core.with_edge_flags([0, 1, 2])
+        assert flagged.rotation() is core.rotation()
+
+    def test_rows_builder_matches_core(self):
+        _, _, positions = deployments()[4]
+        core = build_unit_disk_graph(positions, RADIUS).core
+        rotation = build_rotation(
+            [Point(x, y) for x, y in zip(core.xs, core.ys)],
+            list(core.indptr),
+            list(core.indices),
+        )
+        assert rotation == core.rotation()

@@ -11,7 +11,9 @@ coordinate ties exercise the tie-breaking paths of the angle sweep
 and the greedy minimum.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -140,6 +142,27 @@ class TestBatchContract:
             router.route_batch([(u, u)])
         with pytest.raises(RoutingError):
             router.route_batch([(u, max(graph.node_ids) + 1)])
+
+    @pytest.mark.parametrize("backend", ["scalar", "auto"])
+    def test_routers_are_freed_without_the_cycle_collector(
+        self, random_net, backend
+    ):
+        """A router caches its executor (and numpy kernel); those must
+        not hold it back, or every session's routers, graph and model
+        wait for a cyclic collection to be freed."""
+        graph, _, model = random_net
+        pairs = sample_pairs(graph, 5, seed=3)
+        routers = all_routers(graph, model)
+        gc.disable()
+        try:
+            while routers:
+                router = routers.pop()
+                router.route_batch(pairs, backend=backend)
+                ref = weakref.ref(router)
+                del router
+                assert ref() is None
+        finally:
+            gc.enable()
 
     def test_subclasses_fall_back_to_sequential(self, random_net):
         """An overridden scheme must not inherit a fast path that no

@@ -117,6 +117,34 @@ class TestRequestValidation:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_is_a_located_400(self, harness, literal):
+        import http.client
+        import json
+
+        # The same literal inside a string is fine; the bare one is not.
+        body = (
+            '{"scenario": {"deployment_model": "IA", "note": "NaN",\n'
+            f' "radius": {literal}}}}}'
+        )
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", harness.port, timeout=10
+        )
+        try:
+            conn.request(
+                "POST",
+                "/sessions",
+                body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            error = json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert literal in error
+        assert "line 2 column 12" in error
+
     def test_create_requires_scenario_key(self, harness):
         status, body, _ = harness.request("POST", "/sessions", {})
         assert status == 400 and "scenario" in body["error"]
